@@ -173,33 +173,14 @@ func fig11Specs() []experiments.RunSpec {
 // sweepBench is the shared body of the trace-sharing benchmarks: one cold
 // Runner per iteration executing the Figure 11/12 sweep, so
 // SweepLiveStream vs SweepSharedTrace isolates the
-// record-once/replay-many layer. Gang replay is pinned off (Gang: 1) —
-// each replay materializes its own window — so these two keep measuring
-// the sharing layer alone; the gang layer on top is BenchmarkSweepGang.
+// record-once/replay-many layer.
 func sweepBench(b *testing.B, noShare bool) {
 	b.Helper()
 	specs := fig11Specs()
 	for i := 0; i < b.N; i++ {
 		r := experiments.NewRunner(experiments.Options{
-			Scale: benchScale, Seed: 1, NoSharedTraces: noShare, Gang: 1,
+			Scale: benchScale, Seed: 1, NoSharedTraces: noShare,
 		})
-		if _, err := r.RunAll(specs); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(len(specs))*float64(b.N)/b.Elapsed().Seconds(), "sims/s")
-}
-
-// BenchmarkSweepGang runs the identical sweep with gang replay (the
-// default mode): the configurations of each benchmark drive one shared
-// pre-decoded trace walk through per-member cursors. The ratio to
-// BenchmarkSweepSharedTrace is the gang-replay speedup — decode and
-// operand materialization once per block instead of once per
-// configuration.
-func BenchmarkSweepGang(b *testing.B) {
-	specs := fig11Specs()
-	for i := 0; i < b.N; i++ {
-		r := experiments.NewRunner(experiments.Options{Scale: benchScale, Seed: 1})
 		if _, err := r.RunAll(specs); err != nil {
 			b.Fatal(err)
 		}

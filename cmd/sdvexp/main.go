@@ -43,7 +43,6 @@ func main() {
 		parallel  = flag.Int("parallel", runtime.GOMAXPROCS(0), "concurrent simulations (1 = sequential; output is identical either way)")
 		shards    = flag.Int("shards", 1, "split each simulation into K checkpoint-fast-forwarded intervals (1 = exact single pass, byte-identical output; K > 1 trades warmup tolerance for intra-benchmark parallelism)")
 		ckptEvry  = flag.Int("ckpt-every", 0, "checkpoint interval in instructions for recorded traces (0 = auto when -shards > 1)")
-		gang      = flag.Int("gang", 0, "gang replay: configurations sharing a benchmark recording replay one pre-decoded trace walk (0 = gang all, 1 = off, K >= 2 caps gang size; output is byte-identical in every mode)")
 		serverURL = flag.String("server", "", "submit to a running sdvd daemon at this base URL instead of simulating locally (output is byte-identical)")
 		specArg   = flag.String("spec", "", "workload-spec file(s) (YAML/JSON, comma-separated): run the generated workloads through the headline sweep; without an explicit -exp only the sweep runs")
 		list      = flag.Bool("list", false, "list experiments and exit")
@@ -61,9 +60,6 @@ func main() {
 	}
 	if *ckptEvry < 0 {
 		cliutil.Fatal("sdvexp", cliutil.FlagError("ckpt-every", *ckptEvry, ">= 0"))
-	}
-	if err := cliutil.ValidateGang(*gang); err != nil {
-		cliutil.Fatal("sdvexp", err)
 	}
 
 	// Load and register workload specs. The generated workloads are
@@ -106,7 +102,7 @@ func main() {
 
 	runner := experiments.NewRunner(experiments.Options{
 		Scale: *scale, Seed: *seed, Workers: *parallel,
-		Shards: *shards, CheckpointEvery: *ckptEvry, Gang: *gang,
+		Shards: *shards, CheckpointEvery: *ckptEvry,
 	})
 	for _, e := range toRun {
 		start := time.Now()

@@ -74,7 +74,7 @@ func ExecuteShardTask(ctx context.Context, task ShardTask, tr *trace.Trace) (*st
 		warmup:     task.Warmup,
 		measure:    task.Measure,
 	}
-	return runShard(ctx, task.Cfg, tr, nil, sp, nil)
+	return runShard(ctx, task.Cfg, tr, sp, nil)
 }
 
 // remoteReplay dispatches one replay — a single whole-run task at

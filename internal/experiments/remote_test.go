@@ -48,9 +48,9 @@ func (e *wireExecutor) RunShard(ctx context.Context, task ShardTask, tr *trace.T
 
 // TestRemoteReplayByteIdentical is the cluster acceptance pin at the
 // experiments layer: with Options.Remote set — whole runs (Shards
-// unset) and sharded runs alike, gang replay on and off — the rendered
-// statistics must be byte-identical to a local runner at the same
-// execution shape. Remote dispatch changes where replay runs, never
+// unset) and sharded runs alike, at several local worker counts — the
+// rendered statistics must be byte-identical to a local runner at the
+// same execution shape. Remote dispatch changes where replay runs, never
 // what it computes.
 func TestRemoteReplayByteIdentical(t *testing.T) {
 	cfgs := []config.Config{
@@ -62,9 +62,9 @@ func TestRemoteReplayByteIdentical(t *testing.T) {
 		opts Options
 	}{
 		{"whole runs", Options{Scale: 15_000, Seed: 1, Workers: 4}},
-		{"whole runs, no gang", Options{Scale: 15_000, Seed: 1, Workers: 4, Gang: 1}},
+		{"whole runs, one worker", Options{Scale: 15_000, Seed: 1, Workers: 1}},
 		{"sharded", Options{Scale: 15_000, Seed: 1, Workers: 4, Shards: 4}},
-		{"sharded, no gang", Options{Scale: 15_000, Seed: 1, Workers: 2, Shards: 3, Gang: 1}},
+		{"sharded, two workers", Options{Scale: 15_000, Seed: 1, Workers: 2, Shards: 3}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -85,20 +85,6 @@ type Options struct {
 	// Runner instances (see TraceStore). A leader checks the store before
 	// recording and publishes successful recordings back to it.
 	Traces TraceStore
-	// Gang controls gang replay: configurations submitted together
-	// (RunAll/Prefetch) that share one recorded benchmark are grouped
-	// into a gang whose members replay a single shared pre-decoded trace
-	// walk (trace.Decoded) through per-member cursors, so column decode
-	// and operand materialization happen once per block instead of once
-	// per configuration. 0 (the default) gangs every configuration of a
-	// benchmark in the batch; 1 disables ganging — each replay
-	// materializes its own window, the pre-gang behaviour; K >= 2 caps
-	// members per gang. Like Workers, this is execution shape only:
-	// results are byte-identical in every mode, which is why the service
-	// layer excludes it from cache keys.
-	//
-	//sdv:shape
-	Gang int
 	// Workloads, when non-nil, resolves benchmark names instead of the
 	// global workload registry. The service layer threads a per-job
 	// resolver built from the job's workload-spec payload through here,
@@ -236,20 +222,14 @@ type Runner struct {
 	ctx  context.Context // Options.Context or Background; never nil
 	sem  chan struct{}   // bounds concurrently executing simulations
 
-	mu      sync.Mutex
-	cache   map[runKey]*call
-	traces  map[string]*traceCall
-	decoded map[string]*decodedEntry // per-benchmark gang-shared decoded traces
+	mu     sync.Mutex
+	cache  map[runKey]*call
+	traces map[string]*traceCall
 
 	sims     atomic.Int64 // simulations actually executed (cache misses)
 	recorded atomic.Int64 // benchmark traces recorded (trace-cache misses)
 	replayed atomic.Int64 // simulations served from a recorded trace
 	loaded   atomic.Int64 // benchmark traces loaded from Options.Traces
-
-	gangBatches atomic.Int64 // gangs of >= 2 members that shared a walk
-	gangRuns    atomic.Int64 // member simulations those gangs served
-	decodes     atomic.Int64 // decoded-trace blocks decoded (retired entries)
-	decodeLoads atomic.Int64 // decoded-trace block fetches (retired entries)
 
 	// Aggregated pipeline hot-path counters across every simulation the
 	// runner executed (service /metrics). Folded via profile.HotStats.Add
@@ -266,12 +246,11 @@ func NewRunner(opts Options) *Runner {
 		ctx = context.Background()
 	}
 	return &Runner{
-		opts:    opts,
-		ctx:     ctx,
-		sem:     make(chan struct{}, opts.Workers),
-		cache:   map[runKey]*call{},
-		traces:  map[string]*traceCall{},
-		decoded: map[string]*decodedEntry{},
+		opts:   opts,
+		ctx:    ctx,
+		sem:    make(chan struct{}, opts.Workers),
+		cache:  map[runKey]*call{},
+		traces: map[string]*traceCall{},
 	}
 }
 
@@ -324,40 +303,6 @@ func (r *Runner) TraceReplays() int64 { return r.replayed.Load() }
 // TraceLoads returns how many benchmark traces were served by
 // Options.Traces instead of being recorded.
 func (r *Runner) TraceLoads() int64 { return r.loaded.Load() }
-
-// GangBatches returns how many gangs of two or more members shared one
-// decoded trace walk.
-func (r *Runner) GangBatches() int64 { return r.gangBatches.Load() }
-
-// GangRuns returns the total member simulations those gangs served;
-// GangRuns / GangBatches is the mean number of configurations driven per
-// shared walk.
-func (r *Runner) GangRuns() int64 { return r.gangRuns.Load() }
-
-// DecodedBlocks returns how many trace blocks gang replay actually
-// decoded, including blocks of entries still live.
-func (r *Runner) DecodedBlocks() int64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	n := r.decodes.Load()
-	for _, e := range r.decoded {
-		n += e.d.BlockDecodes()
-	}
-	return n
-}
-
-// DecodedBlockLoads returns how many block fetches gang cursors
-// performed; DecodedBlockLoads - DecodedBlocks is the decode work the
-// sharing saved.
-func (r *Runner) DecodedBlockLoads() int64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	n := r.decodeLoads.Load()
-	for _, e := range r.decoded {
-		n += e.d.BlockLoads()
-	}
-	return n
-}
 
 // Run simulates benchmark bench under cfg and returns its statistics.
 // Results are memoised on (config name, variant flags, benchmark); an
@@ -510,6 +455,30 @@ func (r *Runner) loadStoredTrace(bench string) (*trace.Trace, bool) {
 	return tr, true
 }
 
+// loadShared resolves a leader's trace entry with a recording from
+// Options.Traces and reports whether the store had a usable one. A warm
+// store spares both the recording and the functional emulation; the
+// program is still built for the live-emulation fallback of
+// configurations the trace cannot feed. sc, when active and a store is
+// configured, receives a "trace-load" span covering the lookup.
+func (r *Runner) loadShared(bench string, tc *traceCall, sc obs.SpanContext) bool {
+	var load obs.SpanContext
+	if r.opts.Traces != nil {
+		load = sc.Start("trace-load")
+	}
+	tr, ok := r.loadStoredTrace(bench)
+	load.End()
+	if !ok {
+		return false
+	}
+	if prog, err := r.buildProgram(bench); err != nil {
+		r.publishTrace(tc, bench, nil, nil, err)
+	} else {
+		r.publishLoadedTrace(tc, prog, tr)
+	}
+	return true
+}
+
 // lookup resolves a benchmark name through the runner's resolver, or the
 // global registry when none is set.
 func (r *Runner) lookup(bench string) (workload.Benchmark, error) {
@@ -554,22 +523,9 @@ func (r *Runner) simulate(cfg config.Config, bench string) (*stats.Sim, error) {
 		return nil, fmt.Errorf("experiments: %s/%s: %w", cfg.Name, bench, err)
 	}
 	if leader {
-		var load obs.SpanContext
-		if r.opts.Traces != nil {
-			load = run.Start("trace-load")
-		}
-		tr, ok := r.loadStoredTrace(bench)
-		load.End()
 		switch {
-		case ok:
-			// A warm store spares both the recording and the functional
-			// emulation; the program is still built for the live-emulation
-			// fallback of configurations the trace cannot feed.
-			if prog, err := r.buildProgram(bench); err != nil {
-				r.publishTrace(tc, bench, nil, nil, err)
-			} else {
-				r.publishLoadedTrace(tc, prog, tr)
-			}
+		case r.loadShared(bench, tc, run):
+			// Served by the store; replay below like any follower.
 		case r.opts.Shards > 1:
 			// Sharded mode records with a pure functional pass (embedding
 			// checkpoints) so the leader's own timing run can be sharded
@@ -596,55 +552,74 @@ func (r *Runner) simulate(cfg config.Config, bench string) (*stats.Sim, error) {
 		return r.remoteReplay(cfg, bench, tc.tr, run)
 	}
 	if r.opts.Shards > 1 {
-		return r.shardedReplay(cfg, bench, tc.tr, nil, run)
+		return r.shardedReplay(cfg, bench, tc.tr, run)
 	}
 	return r.timedRun(run, "replay", cfg, bench, func() (*pipeline.Simulator, error) {
 		return pipeline.NewFromSource(cfg, trace.NewReplayer(tc.tr, pipeline.SourceWindow(cfg)))
 	})
 }
 
-// recordShared resolves a leader's trace entry with a pure functional
-// recording pass (no timing simulation), embedding checkpoints when the
-// runner is configured for them. The entry is always resolved. Sharded
-// sweeps and stream-only experiments (VecLen) record this way. sc, when
-// active, receives a "record" span covering the pass.
-func (r *Runner) recordShared(bench string, tc *traceCall, sc obs.SpanContext) {
-	rsc := sc.StartRun("record", "", bench)
-	defer rsc.End()
+// startRecording builds bench's program and a Recorder over a fresh
+// emulator of it: the recorder serves its consumer through a replay
+// window of the given size (0: the recorder's default), embeds
+// checkpoints at the runner's spacing and is reserved for the record
+// target. On failure tc is
+// already resolved — a program error is fatal for the benchmark, a
+// recorder error loses only the recording — and the error is returned.
+func (r *Runner) startRecording(bench string, tc *traceCall, window int) (*isa.Program, *trace.Recorder, error) {
 	prog, err := r.buildProgram(bench)
 	if err != nil {
 		r.publishTrace(tc, bench, nil, nil, err)
-		return
+		return nil, nil, err
 	}
 	mach, err := emu.New(prog)
 	if err != nil {
 		r.publishTrace(tc, bench, nil, nil, err)
-		return
+		return nil, nil, err
 	}
-	rec, err := trace.NewRecorder(mach, prog, 0)
+	rec, err := trace.NewRecorder(mach, prog, window)
+	if err == nil && r.opts.CheckpointEvery > 0 {
+		err = rec.EnableCheckpoints(r.opts.CheckpointEvery)
+	}
 	if err != nil {
+		// The program is fine; only the recording is lost. Followers fall
+		// back to live emulation of the shared program.
 		r.publishTrace(tc, bench, prog, nil, fmt.Errorf("%w: %v", ErrRecordingUnusable, err))
-		return
-	}
-	if r.opts.CheckpointEvery > 0 {
-		if err := rec.EnableCheckpoints(r.opts.CheckpointEvery); err != nil {
-			r.publishTrace(tc, bench, prog, nil, fmt.Errorf("%w: %v", ErrRecordingUnusable, err))
-			return
-		}
+		return nil, nil, err
 	}
 	rec.SetContext(r.ctx)
 	rec.Reserve(r.recordTarget())
-	tr, recErr := rec.Finish(r.recordTarget())
-	if recErr != nil {
-		if cancelled(recErr) {
-			// Cancellation is not a property of the benchmark: evict the
-			// entry so a later requester records afresh.
+	return prog, rec, nil
+}
+
+// finishRecording extends rec to the record target and publishes the
+// trace. A Finish failure is published with its cause, never as a bare
+// nil trace: followers fall back to live emulation and anyone inspecting
+// the entry sees why the recording was dropped. Cancellation is not a
+// property of the benchmark, so a cancelled recording also evicts the
+// entry and a later requester records afresh.
+func (r *Runner) finishRecording(bench string, tc *traceCall, prog *isa.Program, rec *trace.Recorder) {
+	tr, err := rec.Finish(r.recordTarget())
+	if err != nil {
+		if cancelled(err) {
 			r.dropTrace(bench, tc)
 		}
-		r.publishTrace(tc, bench, prog, nil, fmt.Errorf("%w: %v", ErrRecordingUnusable, recErr))
+		r.publishTrace(tc, bench, prog, nil, fmt.Errorf("%w: %v", ErrRecordingUnusable, err))
 		return
 	}
 	r.publishTrace(tc, bench, prog, tr, nil)
+}
+
+// recordShared resolves a leader's trace entry with a pure functional
+// recording pass (no timing simulation). The entry is always resolved.
+// Sharded sweeps and stream-only experiments (VecLen) record this way.
+// sc, when active, receives a "record" span covering the pass.
+func (r *Runner) recordShared(bench string, tc *traceCall, sc obs.SpanContext) {
+	rsc := sc.StartRun("record", "", bench)
+	defer rsc.End()
+	if prog, rec, err := r.startRecording(bench, tc, 0); err == nil {
+		r.finishRecording(bench, tc, prog, rec)
+	}
 }
 
 // recordRun is the leader's simulation: it records the dynamic stream
@@ -657,31 +632,10 @@ func (r *Runner) recordShared(bench string, tc *traceCall, sc obs.SpanContext) {
 func (r *Runner) recordRun(cfg config.Config, bench string, tc *traceCall, sc obs.SpanContext) (*stats.Sim, error) {
 	rsc := sc.StartRun("record", cfg.Name, bench)
 	defer rsc.End()
-	prog, err := r.buildProgram(bench)
+	prog, rec, err := r.startRecording(bench, tc, pipeline.SourceWindow(cfg))
 	if err != nil {
-		r.publishTrace(tc, bench, nil, nil, err)
 		return nil, err
 	}
-	mach, err := emu.New(prog)
-	if err != nil {
-		r.publishTrace(tc, bench, nil, nil, err)
-		return nil, err
-	}
-	rec, err := trace.NewRecorder(mach, prog, pipeline.SourceWindow(cfg))
-	if err != nil {
-		// The program is fine; only the recording is lost. Followers fall
-		// back to live emulation while this leader reports the failure.
-		r.publishTrace(tc, bench, prog, nil, fmt.Errorf("%w: %v", ErrRecordingUnusable, err))
-		return nil, err
-	}
-	if r.opts.CheckpointEvery > 0 {
-		if err := rec.EnableCheckpoints(r.opts.CheckpointEvery); err != nil {
-			r.publishTrace(tc, bench, prog, nil, fmt.Errorf("%w: %v", ErrRecordingUnusable, err))
-			return nil, err
-		}
-	}
-	rec.SetContext(r.ctx)
-	rec.Reserve(r.recordTarget())
 	st, simErr := r.timedRun(obs.SpanContext{}, "", cfg, bench, func() (*pipeline.Simulator, error) {
 		return pipeline.NewFromSource(cfg, rec)
 	})
@@ -694,19 +648,8 @@ func (r *Runner) recordRun(cfg config.Config, bench string, tc *traceCall, sc ob
 	}
 	// Finish extends the recording to its target length even when the
 	// timing run stopped early (commit limit) or failed (an invalid
-	// configuration must not poison the benchmark for other configs). A
-	// Finish failure is published with its cause, never as a bare nil
-	// trace: followers fall back to live emulation and anyone inspecting
-	// the entry sees why the recording was dropped.
-	tr, recErr := rec.Finish(r.recordTarget())
-	if recErr != nil {
-		if cancelled(recErr) {
-			r.dropTrace(bench, tc)
-		}
-		r.publishTrace(tc, bench, prog, nil, fmt.Errorf("%w: %v", ErrRecordingUnusable, recErr))
-	} else {
-		r.publishTrace(tc, bench, prog, tr, nil)
-	}
+	// configuration must not poison the benchmark for other configs).
+	r.finishRecording(bench, tc, prog, rec)
 	return st, simErr
 }
 
@@ -751,7 +694,6 @@ func (r *Runner) timedRun(sc obs.SpanContext, phase string, cfg config.Config, b
 // after all runs settle, so a failed batch leaves no simulation in
 // flight.
 func (r *Runner) RunAll(specs []RunSpec) ([]*stats.Sim, error) {
-	r.dispatchGangs(specs)
 	out := make([]*stats.Sim, len(specs))
 	errs := make([]error, len(specs))
 	var wg sync.WaitGroup
@@ -783,7 +725,6 @@ func (r *Runner) Prefetch(specs []RunSpec) {
 	if len(specs) == 0 {
 		return
 	}
-	r.dispatchGangs(specs)
 	specs = append([]RunSpec(nil), specs...)
 	next := new(atomic.Int64)
 	for n := min(len(specs), r.opts.Workers); n > 0; n-- {

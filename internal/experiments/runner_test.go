@@ -103,6 +103,41 @@ func TestRunnerConcurrentHammer(t *testing.T) {
 	}
 }
 
+// TestSweepConcurrentHammer drives overlapping sweeps from many
+// goroutines at one Runner: each sends a rotated, truncated RunAll batch
+// so the batches overlap but never coincide, then the whole sweep.
+// Concurrent batches share benchmark recordings while the memo
+// deduplicates their specs; under -race this proves that sharing is
+// concurrency-safe, and the Simulations counter proves each unique key
+// ran exactly once.
+func TestSweepConcurrentHammer(t *testing.T) {
+	r := NewRunner(Options{Scale: 8_000, Seed: 1, Workers: 4})
+	specs := sweepSuite()
+	unique := map[runKey]bool{}
+	for _, s := range specs {
+		unique[r.key(s.Cfg, s.Bench)] = true
+	}
+	const goroutines = 8
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			rot := append(append([]RunSpec(nil), specs[g%len(specs):]...), specs[:g%len(specs)]...)
+			if _, err := r.RunAll(rot[:len(rot)-g%4]); err != nil {
+				t.Error(err)
+			}
+			if _, err := r.RunAll(specs); err != nil {
+				t.Error(err)
+			}
+		}(g)
+	}
+	wg.Wait()
+	if got, want := r.Simulations(), int64(len(unique)); got != want {
+		t.Errorf("executed %d simulations for %d unique keys", got, want)
+	}
+}
+
 // TestRunAllOrderAndPrefetch checks that RunAll returns results in spec
 // order and that a Prefetch of the same fan-out is fully deduplicated.
 func TestRunAllOrderAndPrefetch(t *testing.T) {

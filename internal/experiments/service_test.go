@@ -3,7 +3,9 @@ package experiments
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"specvec/internal/config"
@@ -39,6 +41,28 @@ func (s *memTraceStore) Store(bench string, tr *trace.Trace) {
 	s.stores++
 }
 
+// sweepSuite is a sweep-shaped fan-out: six configurations over a few
+// benchmarks, so every benchmark's recording is shared by several
+// configurations submitted in one batch.
+func sweepSuite() []RunSpec {
+	cfgs := []config.Config{
+		config.MustNamed(4, 1, config.ModeV),
+		config.MustNamed(4, 1, config.ModeIM),
+		config.MustNamed(4, 1, config.ModeNoIM),
+		config.MustNamed(8, 1, config.ModeV),
+		config.MustNamed(8, 1, config.ModeIM),
+		config.MustNamed(8, 1, config.ModeNoIM),
+	}
+	benches := []string{"compress", "swim", "applu"}
+	var specs []RunSpec
+	for _, cfg := range cfgs {
+		for _, b := range benches {
+			specs = append(specs, RunSpec{Cfg: cfg, Bench: b})
+		}
+	}
+	return specs
+}
+
 // TestRunnerCancellation cancels a runner mid-run (from a progress event)
 // and checks that Run returns the context's error quickly, and that the
 // memo entry is evicted rather than poisoned.
@@ -72,6 +96,78 @@ func TestRunnerCancellation(t *testing.T) {
 	}
 }
 
+// TestSweepCancellationEvicts cancels a RunAll sweep mid-run and checks
+// the eviction contract across the whole batch: no errored memo entry
+// survives, no trace entry is left behind by a cancelled recording, and
+// a fresh runner recomputes every spec — a cancelled sweep must not
+// poison the next one.
+func TestSweepCancellationEvicts(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	var once sync.Once
+	r := NewRunner(Options{
+		Scale: 200_000, Seed: 1, Workers: 2, Context: ctx,
+		Progress: func(ev ProgressEvent) {
+			if ev.Kind == RunProgress {
+				once.Do(cancel)
+			}
+		},
+	})
+	specs := sweepSuite()
+	_, err := r.RunAll(specs)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("want context.Canceled, got %v", err)
+	}
+	// Wait for every claimed entry to settle — eviction happens before an
+	// entry's done channel closes — then assert.
+	r.mu.Lock()
+	inflight := make([]*call, 0, len(r.cache))
+	for _, c := range r.cache {
+		inflight = append(inflight, c)
+	}
+	recordings := make([]*traceCall, 0, len(r.traces))
+	for _, tc := range r.traces {
+		recordings = append(recordings, tc)
+	}
+	r.mu.Unlock()
+	for _, c := range inflight {
+		<-c.done
+	}
+	for _, tc := range recordings {
+		<-tc.done
+	}
+	r.mu.Lock()
+	var poisoned, stale []string
+	for _, s := range specs {
+		if c, ok := r.cache[r.key(s.Cfg, s.Bench)]; ok && c.err != nil {
+			poisoned = append(poisoned, s.Cfg.Name+"/"+s.Bench)
+		}
+	}
+	// Every suite benchmark records successfully when not cancelled, so
+	// an entry without a trace is the residue of a cancelled recording.
+	for bench, tc := range r.traces {
+		if tc.tr == nil {
+			stale = append(stale, bench+": "+fmt.Sprint(tc.err))
+		}
+	}
+	r.mu.Unlock()
+	if len(poisoned) > 0 {
+		t.Errorf("cancelled sweep left poisoned memo entries: %v", poisoned)
+	}
+	if len(stale) > 0 {
+		t.Errorf("cancelled recordings left trace entries: %v", stale)
+	}
+
+	// The next sweep — a fresh runner with a live context, as the service
+	// layer would construct — recomputes from scratch.
+	fresh := NewRunner(Options{Scale: 5_000, Seed: 1, Workers: 2})
+	if _, err := fresh.RunAll(specs); err != nil {
+		t.Fatalf("recompute after cancelled sweep: %v", err)
+	}
+	if fresh.Simulations() != int64(len(specs)) {
+		t.Errorf("fresh runner executed %d of %d specs", fresh.Simulations(), len(specs))
+	}
+}
+
 // TestRunnerCancelledBeforeStart asserts an already-cancelled context
 // rejects work without simulating.
 func TestRunnerCancelledBeforeStart(t *testing.T) {
@@ -89,7 +185,10 @@ func TestRunnerCancelledBeforeStart(t *testing.T) {
 
 // TestRunnerProgressEvents runs a tiny sweep and checks the event stream:
 // every executed run brackets with RunStarted/RunDone, memoised requests
-// emit RunDone with Cached, and at least one RunProgress fires.
+// emit RunDone with Cached, and at least one RunProgress fires. A RunAll
+// batch whose benchmarks each serve several configurations resolves
+// exactly one RunDone per spec — RunDone means "a Run call resolved",
+// so no simulation may report twice.
 func TestRunnerProgressEvents(t *testing.T) {
 	var mu sync.Mutex
 	counts := map[ProgressKind]int{}
@@ -125,6 +224,29 @@ func TestRunnerProgressEvents(t *testing.T) {
 	}
 	if counts[RunProgress] == 0 {
 		t.Error("no RunProgress events over a 20k-instruction run")
+	}
+
+	var started, done atomic.Int64
+	sweep := NewRunner(Options{
+		Scale: 5_000, Seed: 1, Workers: 2,
+		Progress: func(ev ProgressEvent) {
+			switch ev.Kind {
+			case RunStarted:
+				started.Add(1)
+			case RunDone:
+				done.Add(1)
+			}
+		},
+	})
+	specs := sweepSuite()
+	if _, err := sweep.RunAll(specs); err != nil {
+		t.Fatal(err)
+	}
+	if got := done.Load(); got != int64(len(specs)) {
+		t.Errorf("RunAll of %d specs fired %d RunDone events", len(specs), got)
+	}
+	if got, sims := started.Load(), sweep.Simulations(); got != sims {
+		t.Errorf("RunStarted fired %d times for %d simulations", got, sims)
 	}
 }
 

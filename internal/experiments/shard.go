@@ -83,18 +83,9 @@ func shardPlan(tr *trace.Trace, total uint64, shards int, warmup uint64) []shard
 
 // runShard executes one interval of the plan. A non-nil ctx cancels the
 // interval (service-layer jobs); a non-nil hot callback receives the
-// shard simulator's hot-path counters. A non-nil d replays through a
-// cursor over the shared decoded trace (gang replay) instead of
-// materializing a private window — the shards of every gang member then
-// decode each block once between them.
-func runShard(ctx context.Context, cfg config.Config, tr *trace.Trace, d *trace.Decoded, sp shardSpec, hot func(profile.HotStats)) (*stats.Sim, error) {
-	var src pipeline.Source
-	if d != nil {
-		src = d.CursorAt(sp.replayFrom)
-	} else {
-		src = trace.NewReplayerAt(tr, pipeline.SourceWindow(cfg), sp.replayFrom)
-	}
-	sim, err := pipeline.NewFromSource(cfg, src)
+// shard simulator's hot-path counters.
+func runShard(ctx context.Context, cfg config.Config, tr *trace.Trace, sp shardSpec, hot func(profile.HotStats)) (*stats.Sim, error) {
+	sim, err := pipeline.NewFromSource(cfg, trace.NewReplayerAt(tr, pipeline.SourceWindow(cfg), sp.replayFrom))
 	if err != nil {
 		return nil, err
 	}
@@ -115,7 +106,7 @@ func runShard(ctx context.Context, cfg config.Config, tr *trace.Trace, d *trace.
 // in-flight shard — and merges the interval statistics in shard order.
 // onDone (optional) observes each finished interval with the count of
 // completed intervals so far; it may be called concurrently.
-func runShards(ctx context.Context, cfg config.Config, tr *trace.Trace, d *trace.Decoded, plan []shardSpec,
+func runShards(ctx context.Context, cfg config.Config, tr *trace.Trace, plan []shardSpec,
 	sem chan struct{}, hot func(profile.HotStats), onDone func(done, total int)) (*stats.Sim, error) {
 	results := make([]*stats.Sim, len(plan))
 	errs := make([]error, len(plan))
@@ -136,7 +127,7 @@ func runShards(ctx context.Context, cfg config.Config, tr *trace.Trace, d *trace
 				sem <- struct{}{}
 			}
 			defer func() { <-sem }()
-			results[i], errs[i] = runShard(ctx, cfg, tr, d, sp, hot)
+			results[i], errs[i] = runShard(ctx, cfg, tr, sp, hot)
 			if errs[i] == nil && onDone != nil {
 				onDone(int(finished.Add(1)), len(plan))
 			}
@@ -166,7 +157,7 @@ func runShards(ctx context.Context, cfg config.Config, tr *trace.Trace, d *trace
 // covering the whole fan-out (per-interval timing lives in the merged
 // statistics, not the timeline — local shards share one clock, so the
 // envelope is what a waterfall needs).
-func (r *Runner) shardedReplay(cfg config.Config, bench string, tr *trace.Trace, d *trace.Decoded, sc obs.SpanContext) (*stats.Sim, error) {
+func (r *Runner) shardedReplay(cfg config.Config, bench string, tr *trace.Trace, sc obs.SpanContext) (*stats.Sim, error) {
 	plan := shardPlan(tr, uint64(r.opts.Scale), r.opts.Shards, uint64(r.opts.ShardWarmup))
 	var onDone func(done, total int)
 	if r.opts.Progress != nil {
@@ -177,7 +168,7 @@ func (r *Runner) shardedReplay(cfg config.Config, bench string, tr *trace.Trace,
 	}
 	fan := sc.Start("shard-fanout")
 	<-r.sem
-	st, err := runShards(r.ctx, cfg, tr, d, plan, r.sem, r.collectHot, onDone)
+	st, err := runShards(r.ctx, cfg, tr, plan, r.sem, r.collectHot, onDone)
 	r.sem <- struct{}{}
 	fan.End()
 	if err != nil {
@@ -208,6 +199,6 @@ func ShardedReplay(cfg config.Config, tr *trace.Trace, total uint64, shards, war
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	return runShards(nil, cfg, tr, nil, shardPlan(tr, total, shards, uint64(warmup)),
+	return runShards(nil, cfg, tr, shardPlan(tr, total, shards, uint64(warmup)),
 		make(chan struct{}, workers), nil, nil)
 }

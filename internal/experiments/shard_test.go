@@ -3,12 +3,14 @@ package experiments
 import (
 	"errors"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
 	"specvec/internal/config"
 	"specvec/internal/emu"
 	"specvec/internal/isa"
+	"specvec/internal/stats"
 	"specvec/internal/trace"
 	"specvec/internal/workload"
 )
@@ -58,6 +60,30 @@ func TestShardedDeterministic(t *testing.T) {
 	par, _ := renderSuite(t, opts, cfg)
 	if seq != par {
 		t.Error("sharded results differ between Workers=1 and Workers=8")
+	}
+}
+
+// TestShardedSweepByteIdentical runs a sweep-shaped RunAll, several
+// configurations per benchmark replaying one shared recording
+// concurrently, with every replay sharded, and requires Workers=4 to
+// match Workers=1 result for result.
+func TestShardedSweepByteIdentical(t *testing.T) {
+	specs := sweepSuite()
+	sweep := func(workers int) []*stats.Sim {
+		t.Helper()
+		r := NewRunner(Options{Scale: 10_000, Seed: 1, Workers: workers, Shards: 3, CheckpointEvery: 2048})
+		sims, err := r.RunAll(specs)
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		return sims
+	}
+	base, got := sweep(1), sweep(4)
+	for i := range base {
+		if !reflect.DeepEqual(base[i], got[i]) {
+			t.Errorf("sharded sweep: %s/%s differs between Workers=1 and Workers=4",
+				specs[i].Cfg.Name, specs[i].Bench)
+		}
 	}
 }
 

@@ -18,19 +18,11 @@ func (r *Runner) functionalTrace(bench string) (*traceCall, error) {
 	if err != nil {
 		return nil, err
 	}
-	if leader {
-		if tr, ok := r.loadStoredTrace(bench); ok {
-			if prog, err := r.buildProgram(bench); err != nil {
-				r.publishTrace(tc, bench, nil, nil, err)
-			} else {
-				r.publishLoadedTrace(tc, prog, tr)
-			}
-		} else {
-			// The "record" span parents directly under whatever span the
-			// job's context carries — a stream-only experiment has no
-			// per-run span of its own.
-			r.recordShared(bench, tc, obs.FromContext(r.ctx))
-		}
+	// The "trace-load" and "record" spans parent directly under whatever
+	// span the job's context carries — a stream-only experiment has no
+	// per-run span of its own.
+	if sc := obs.FromContext(r.ctx); leader && !r.loadShared(bench, tc, sc) {
+		r.recordShared(bench, tc, sc)
 	}
 	if tc.prog == nil {
 		return tc, tc.err

@@ -17,7 +17,7 @@
 //     (serialization, HTTP/stdout writes, appends that are never
 //     sorted, channel sends) in determinism-critical packages.
 //   - shapetaint: fields annotated //sdv:shape (execution-shape knobs
-//     like Workers, Gang, Remote) must never be read inside functions
+//     like Workers, Remote) must never be read inside functions
 //     annotated //sdv:cachekey (Canonical/Key/ContentID computations).
 //   - hotalloc: allocation-introducing constructs (closures, map/slice
 //     literals, make/new, fmt.*, interface boxing, string building)

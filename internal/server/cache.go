@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sync"
@@ -66,7 +67,7 @@ type Cache struct {
 
 	// obs counters carrying their final /metrics names; registered by
 	// Server.buildRegistry.
-	hits, misses, diskHits, coalesced, evictions *obs.Counter
+	hits, misses, diskHits, coalesced, evictions, diskWriteErrors *obs.Counter
 }
 
 type cacheEntry struct {
@@ -103,6 +104,8 @@ func NewCache(maxEntries int, maxBytes int64, dir string) *Cache {
 		diskHits:   obs.NewCounter("sdvd_cache_disk_hits_total"),
 		coalesced:  obs.NewCounter("sdvd_cache_coalesced_total"),
 		evictions:  obs.NewCounter("sdvd_cache_evictions_total"),
+
+		diskWriteErrors: obs.NewCounter("sdvd_cache_disk_write_errors_total"),
 	}
 }
 
@@ -184,21 +187,48 @@ func (c *Cache) loadDisk(key string) ([]byte, bool) {
 	return b, true
 }
 
-// storeDisk persists a value, best effort (an unwritable directory
-// degrades to memory-only caching rather than failing the job).
-func (c *Cache) storeDisk(key string, val []byte) {
+// storeDisk persists a value if the disk tier is enabled. Callers treat
+// a failure as best effort — an unwritable directory degrades to
+// memory-only caching rather than failing the job — and count it.
+func (c *Cache) storeDisk(key string, val []byte) error {
 	if c.dir == "" {
-		return
+		return nil
 	}
-	path := c.diskPath(key)
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		return
+	return publishFile(c.diskPath(key), func(w io.Writer) error {
+		_, err := w.Write(val)
+		return err
+	})
+}
+
+// publishFile atomically replaces path with the bytes write produces.
+// Each call writes its own temporary file in path's directory and
+// renames it over path only after a complete write, so readers never see
+// a torn file and concurrent writers of one path publish exactly one
+// writer's content. The temporary file is removed when the write or the
+// rename fails.
+func publishFile(path string, write func(io.Writer) error) error {
+	dir := filepath.Dir(path)
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return err
 	}
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, val, 0o644); err != nil {
-		return
+	f, err := os.CreateTemp(dir, filepath.Base(path)+".*.tmp")
+	if err != nil {
+		return err
 	}
-	_ = os.Rename(tmp, path) // atomic publish: readers never see a torn file
+	err = f.Chmod(0o644)
+	if err == nil {
+		err = write(f)
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(f.Name(), path)
+	}
+	if err != nil {
+		_ = os.Remove(f.Name())
+	}
+	return err
 }
 
 // errFlightAbandoned marks a singleflight whose leader was cancelled; a
@@ -254,7 +284,9 @@ func (c *Cache) GetOrCompute(ctx context.Context, key string, compute func() ([]
 		}
 		if f.err == nil {
 			c.put(key, val)
-			c.storeDisk(key, val)
+			if err := c.storeDisk(key, val); err != nil {
+				c.diskWriteErrors.Add(1)
+			}
 		}
 		c.mu.Lock()
 		delete(c.inflight, key)

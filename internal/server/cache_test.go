@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -241,6 +243,50 @@ func TestCacheDiskPersistence(t *testing.T) {
 	}
 	if v, src, _ = b.GetOrCompute(context.Background(), "k", nil); src != SourceMemory || string(v) != "persisted" {
 		t.Fatalf("promotion: %q %v", v, src)
+	}
+}
+
+// TestCacheDiskConcurrentStores races storeDisk calls of one key with
+// payloads of different lengths. Each writer publishes through its own
+// temporary file, so the persisted file always equals exactly one
+// payload — never a shorter payload overlaid on a longer one — and no
+// temporary file is left behind.
+func TestCacheDiskConcurrentStores(t *testing.T) {
+	dir := t.TempDir()
+	c := NewCache(8, 1<<20, dir)
+	payloads := map[string]bool{}
+	var vals [][]byte
+	for i := 0; i < 8; i++ {
+		v := make([]byte, 1+i*4099)
+		for j := range v {
+			v[j] = byte('a' + i)
+		}
+		vals = append(vals, v)
+		payloads[string(v)] = true
+	}
+	for round := 0; round < 50; round++ {
+		var wg sync.WaitGroup
+		for _, v := range vals {
+			wg.Add(1)
+			go func(v []byte) {
+				defer wg.Done()
+				if err := c.storeDisk("k", v); err != nil {
+					t.Error(err)
+				}
+			}(v)
+		}
+		wg.Wait()
+		got, err := os.ReadFile(c.diskPath("k"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !payloads[string(got)] {
+			t.Fatalf("round %d: persisted %d bytes matching no single payload", round, len(got))
+		}
+	}
+	left, err := filepath.Glob(filepath.Join(filepath.Dir(c.diskPath("k")), "*.tmp"))
+	if err != nil || len(left) > 0 {
+		t.Errorf("temporary files left behind: %v %v", left, err)
 	}
 }
 

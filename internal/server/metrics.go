@@ -113,7 +113,7 @@ func (s *Server) buildRegistry() *obs.Registry {
 		obs.NewFunc("sdvd_jobs_queued", func() int64 { return int64(sc.QueueDepth()) }),
 	)
 	reg.Register(
-		s.cache.hits, s.cache.misses, s.cache.diskHits, s.cache.coalesced, s.cache.evictions,
+		s.cache.hits, s.cache.misses, s.cache.diskHits, s.cache.coalesced, s.cache.evictions, s.cache.diskWriteErrors,
 		obs.NewFunc("sdvd_cache_entries", func() int64 { return int64(s.cache.Len()) }),
 		obs.NewFunc("sdvd_cache_bytes", s.cache.Bytes),
 	)
@@ -121,14 +121,6 @@ func (s *Server) buildRegistry() *obs.Registry {
 		reg.Register(s.traces.loads, s.traces.diskLoads, s.traces.stores, s.traces.evictions)
 	}
 	reg.Register(sc.sims, sc.recorded, sc.replayed, sc.traceLoads)
-	reg.Register(
-		sc.gangBatches, sc.gangRuns, sc.decodedBlocks,
-		// decode_saved is derived: block fetches that reused an
-		// already-decoded block instead of decoding their own copy.
-		obs.NewFunc("sdvd_gang_decode_saved_total", func() int64 {
-			return sc.decodedBlockLoads.Value() - sc.decodedBlocks.Value()
-		}),
-	)
 	if s.cluster != nil {
 		reg.Register(
 			obs.NewFunc("sdvd_cluster_workers", func() int64 { return int64(s.cluster.liveWorkers()) }),

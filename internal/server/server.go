@@ -35,12 +35,6 @@ type Options struct {
 	// SimWorkers bounds concurrent simulations per job (default
 	// GOMAXPROCS).
 	SimWorkers int
-	// Gang controls gang replay inside each job's Runner: 0 (default)
-	// gangs every configuration sharing a benchmark recording over one
-	// decoded trace walk, 1 disables ganging, K >= 2 caps gang size.
-	// Execution shape only — results and cache keys are unaffected, so a
-	// daemon restarted with a different Gang still hits its result cache.
-	Gang int
 	// Logf receives operational log lines (nil = silent).
 	Logf func(format string, args ...any)
 
@@ -94,7 +88,6 @@ func New(opts Options) *Server {
 		runtime: newRuntimeGauges(),
 	}
 	s.sched = newScheduler(opts.Jobs, opts.QueueDepth, opts.SimWorkers, opts.JobHistory, s.cache, s.traces, opts.Logf)
-	s.sched.gang = opts.Gang
 	if opts.Coordinator {
 		s.cluster = newCluster(opts.SimWorkers, 0, opts.WorkerExpiry, opts.Logf)
 		s.cluster.rtt = s.sched.metrics.shardRTT
@@ -161,10 +154,17 @@ func (s *Server) advertiseURL(addr net.Addr) string {
 	return "http://" + net.JoinHostPort(host, port)
 }
 
+// readHeaderTimeout bounds how long a connection may take to send its
+// request headers. Every client of the API (sdvexp -server, cluster
+// workers, curl) sends them at once; a connection that trickles or
+// stalls them is closed instead of pinning a goroutine and a descriptor
+// indefinitely. Bodies and streamed responses are not bounded by it.
+const readHeaderTimeout = 5 * time.Second
+
 // Serve runs the API on ln with the lifecycle described at
 // ListenAndServe.
 func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
-	hs := &http.Server{Handler: s.mux}
+	hs := &http.Server{Handler: s.mux, ReadHeaderTimeout: readHeaderTimeout}
 	errc := make(chan error, 1)
 	go func() { errc <- hs.Serve(ln) }()
 	if s.opts.Logf != nil {

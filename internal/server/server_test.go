@@ -3,10 +3,12 @@ package server
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -435,11 +437,8 @@ func TestMetricsAndHealth(t *testing.T) {
 		"sdvd_jobs_completed_total 2",
 		"sdvd_cache_hits_total 1",
 		"sdvd_cache_misses_total 1",
+		"sdvd_cache_disk_write_errors_total 0",
 		"sdvd_sims_total",
-		"sdvd_gang_batches_total",
-		"sdvd_gang_runs_total",
-		"sdvd_gang_decoded_blocks_total",
-		"sdvd_gang_decode_saved_total",
 		"sdvd_hotpath_uop_recycles_total",
 		"sdvd_go_goroutines",
 	} {
@@ -462,39 +461,45 @@ func TestMetricsAndHealth(t *testing.T) {
 	}
 }
 
-// TestMetricsGangCounters submits a sweep-shaped experiment (headline
-// prefetches four configurations per benchmark) and checks the gang
-// gauges moved: the daemon ganged the sweep's replays over shared
-// decoded walks and saved decode work doing so.
-func TestMetricsGangCounters(t *testing.T) {
-	_, ts := testServer(t, Options{})
-	if _, code := postJob(t, ts.URL, JobSpec{Exp: "headline", Scale: 10_000}, true); code != http.StatusOK {
-		t.Fatalf("submit: HTTP %d", code)
-	}
-	resp, err := http.Get(ts.URL + "/metrics")
+// TestServeClosesStalledHeaders opens a connection to a served daemon
+// that sends a partial request and never finishes its headers: the
+// server must close it once readHeaderTimeout passes, rather than hold
+// it open indefinitely.
+func TestServeClosesStalledHeaders(t *testing.T) {
+	t.Parallel()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	vals := map[string]int64{}
-	for _, line := range strings.Split(string(body), "\n") {
-		var name string
-		var v int64
-		if _, err := fmt.Sscanf(line, "%s %d", &name, &v); err == nil {
-			vals[name] = v
-		}
+	ctx, cancel := context.WithCancel(context.Background())
+	served := make(chan error, 1)
+	go func() { served <- New(Options{SimWorkers: 1}).Serve(ctx, ln) }()
+	t.Cleanup(func() {
+		cancel()
+		<-served
+	})
+
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
 	}
-	if vals["sdvd_gang_batches_total"] < 1 {
-		t.Errorf("sdvd_gang_batches_total = %d, want >= 1", vals["sdvd_gang_batches_total"])
+	defer conn.Close()
+	start := time.Now()
+	if _, err := io.WriteString(conn, "GET /healthz HTTP/1.1\r\nHost: sdvd\r\n"); err != nil {
+		t.Fatal(err)
 	}
-	if vals["sdvd_gang_runs_total"] < 2*vals["sdvd_gang_batches_total"] {
-		t.Errorf("sdvd_gang_runs_total = %d for %d batches, want >= 2 per batch",
-			vals["sdvd_gang_runs_total"], vals["sdvd_gang_batches_total"])
+	// Reading returns once the server hangs up; the deadline only stops
+	// a server that never does from hanging the test.
+	if err := conn.SetReadDeadline(start.Add(readHeaderTimeout + 10*time.Second)); err != nil {
+		t.Fatal(err)
 	}
-	if vals["sdvd_gang_decode_saved_total"] < 1 {
-		t.Errorf("sdvd_gang_decode_saved_total = %d, want >= 1 (no decode work shared)",
-			vals["sdvd_gang_decode_saved_total"])
+	_, err = io.ReadAll(conn)
+	var ne net.Error
+	if errors.As(err, &ne) && ne.Timeout() {
+		t.Fatalf("connection with unfinished headers still open after %v", time.Since(start))
+	}
+	if waited := time.Since(start); waited < readHeaderTimeout/2 {
+		t.Errorf("connection closed after %v, before the %v header timeout", waited, readHeaderTimeout)
 	}
 }
 

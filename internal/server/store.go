@@ -3,7 +3,6 @@ package server
 import (
 	"container/list"
 	"fmt"
-	"os"
 	"path/filepath"
 	"sync"
 
@@ -146,14 +145,5 @@ func (s scopedTraces) Store(bench string, tr *trace.Trace) {
 	if s.tc.dir == "" {
 		return
 	}
-	path := s.tc.diskPath(key)
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		return
-	}
-	tmp := path + ".tmp"
-	if err := tr.WriteFile(tmp); err != nil {
-		_ = os.Remove(tmp)
-		return
-	}
-	_ = os.Rename(tmp, path)
+	_ = publishFile(s.tc.diskPath(key), tr.Encode) // best effort: the trace is already in the LRU
 }

@@ -4,7 +4,7 @@ package wspec_test
 // pair must compile to a byte-identical program, record a byte-identical
 // trace and address the same server cache entry, while distinct seeds —
 // runner or spec — produce distinct programs. Every downstream layer
-// (shared trace memo, gang replay, shards, the sdvd result cache)
+// (shared trace memo, shards, the sdvd result cache)
 // assumes exactly this.
 
 import (

@@ -3,7 +3,7 @@
 // generators — stride/gather/scatter sweeps, pointer chasing,
 // branch-entropy knobs, loop-carried dependence distance, INT/FP mix —
 // into named synthetic benchmarks that run everywhere a built-in
-// workload does (sdvsim, sdvexp sweeps, gang replay, shards, the sdvd
+// workload does (sdvsim, sdvexp sweeps, trace replay, shards, the sdvd
 // result cache).
 //
 // The package upholds a determinism contract every downstream layer
