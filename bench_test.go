@@ -1,7 +1,9 @@
 package specvec
 
 import (
+	"errors"
 	"runtime"
+	"sync"
 	"testing"
 
 	"specvec/internal/config"
@@ -170,18 +172,15 @@ func fig11Specs() []experiments.RunSpec {
 	return specs
 }
 
-// sweepBench is the shared body of the trace-sharing benchmarks: one cold
-// Runner per iteration executing the Figure 11/12 sweep, so
+// sweepBench is the shared body of the trace-sharing benchmarks: each
+// iteration executes the Figure 11/12 sweep cold through run, so
 // SweepLiveStream vs SweepSharedTrace isolates the
 // record-once/replay-many layer.
-func sweepBench(b *testing.B, noShare bool) {
+func sweepBench(b *testing.B, run func([]experiments.RunSpec) error) {
 	b.Helper()
 	specs := fig11Specs()
 	for i := 0; i < b.N; i++ {
-		r := experiments.NewRunner(experiments.Options{
-			Scale: benchScale, Seed: 1, NoSharedTraces: noShare,
-		})
-		if _, err := r.RunAll(specs); err != nil {
+		if err := run(specs); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -189,8 +188,34 @@ func sweepBench(b *testing.B, noShare bool) {
 }
 
 // BenchmarkSweepLiveStream is the pre-trace baseline: every simulation
-// re-builds its program and re-runs functional emulation.
-func BenchmarkSweepLiveStream(b *testing.B) { sweepBench(b, true) }
+// re-builds its program and re-runs functional emulation, on as many
+// concurrent simulations as BenchmarkSweepSharedTrace's Runner.
+func BenchmarkSweepLiveStream(b *testing.B) {
+	sweepBench(b, func(specs []experiments.RunSpec) error {
+		sem := make(chan struct{}, runtime.GOMAXPROCS(0))
+		errs := make([]error, len(specs))
+		var wg sync.WaitGroup
+		for i, s := range specs {
+			wg.Add(1)
+			sem <- struct{}{}
+			go func(i int, s experiments.RunSpec) {
+				defer func() { <-sem; wg.Done() }()
+				bench, err := workload.Get(s.Bench)
+				if err != nil {
+					errs[i] = err
+					return
+				}
+				sim, err := pipeline.New(s.Cfg, bench.Build(benchScale, 1))
+				if err == nil {
+					_, err = sim.Run(benchScale)
+				}
+				errs[i] = err
+			}(i, s)
+		}
+		wg.Wait()
+		return errors.Join(errs...)
+	})
+}
 
 // BenchmarkSweepSharded runs the Fig11-shaped sweep of
 // BenchmarkSweepSharedTrace with every simulation split into 4
@@ -199,24 +224,7 @@ func BenchmarkSweepLiveStream(b *testing.B) { sweepBench(b, true) }
 // machine the shards of one simulation run concurrently, so wall clock
 // approaches the longest shard instead of the full single pass (see
 // BenchmarkShardCriticalPath in internal/experiments).
-func BenchmarkSweepSharded(b *testing.B) {
-	var specs []experiments.RunSpec
-	for _, ports := range []int{1, 2} {
-		for _, mode := range []config.Mode{config.ModeNoIM, config.ModeIM, config.ModeV} {
-			cfg := config.MustNamed(4, ports, mode)
-			for _, name := range workload.Names() {
-				specs = append(specs, experiments.RunSpec{Cfg: cfg, Bench: name})
-			}
-		}
-	}
-	for i := 0; i < b.N; i++ {
-		r := experiments.NewRunner(experiments.Options{Scale: benchScale, Seed: 1, Shards: 4})
-		if _, err := r.RunAll(specs); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(len(specs))*float64(b.N)/b.Elapsed().Seconds(), "sims/s")
-}
+func BenchmarkSweepSharded(b *testing.B) { sweepRunner(b, 4) }
 
 // BenchmarkShardedReplay is BenchmarkTraceReplay's workload (one 200k
 // swim simulation on 4w-1pV, replayed from a recording) split into 8
@@ -255,9 +263,18 @@ func BenchmarkShardedReplay(b *testing.B) {
 }
 
 // BenchmarkSweepSharedTrace records each benchmark once and replays it
-// for the other five configurations; the ratio to BenchmarkSweepLiveStream
-// is the sharing speedup and grows with configs-per-benchmark.
-func BenchmarkSweepSharedTrace(b *testing.B) { sweepBench(b, false) }
+// for all six configurations; the ratio to BenchmarkSweepLiveStream is
+// the sharing speedup and grows with configs-per-benchmark.
+func BenchmarkSweepSharedTrace(b *testing.B) { sweepRunner(b, 0) }
+
+// sweepRunner runs the sweep on one cold Runner per iteration.
+func sweepRunner(b *testing.B, shards int) {
+	sweepBench(b, func(specs []experiments.RunSpec) error {
+		r := experiments.NewRunner(experiments.Options{Scale: benchScale, Seed: 1, Shards: shards})
+		_, err := r.RunAll(specs)
+		return err
+	})
+}
 
 // BenchmarkTraceReplay measures raw replay speed: the same simulation as
 // BenchmarkSimulatorThroughput, but fed from a recorded trace instead of

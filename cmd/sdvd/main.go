@@ -24,7 +24,6 @@ import (
 	"flag"
 	"log"
 	"net"
-	"net/http"
 	"os"
 	"os/signal"
 	"runtime"
@@ -137,7 +136,7 @@ func main() {
 		if logf != nil {
 			logf("pprof serving on http://%s/debug/pprof/", ln.Addr())
 		}
-		go func() { _ = http.Serve(ln, server.PprofHandler()) }()
+		go func() { _ = server.ServePprof(ln) }()
 	}
 	if err := srv.ListenAndServe(ctx, *addr); err != nil {
 		cliutil.Fatal("sdvd", err)

@@ -3,25 +3,23 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"specvec/internal/config"
-	"specvec/internal/obs"
 	"specvec/internal/stats"
 	"specvec/internal/trace"
 )
 
-// Remote shard dispatch: with Options.Remote set, every trace-replay
-// simulation — whole (configuration, benchmark) runs and checkpointed
-// shards alike — is handed to a RemoteShards executor instead of the
-// local worker pool. The unit of work is a ShardTask: one replay
-// interval of a recorded trace, fully described by plain data. Replay
-// is deterministic — (recording, configuration, interval) fixes every
+// Shard dispatch: every replay that is not an unsharded local run —
+// checkpointed shards, and with Options.Remote set whole (configuration,
+// benchmark) runs too, the recording leader's included — is handed to a
+// RemoteShards executor: Options.Remote, or localShards over the worker
+// pool. The unit of work is a ShardTask: one replay interval of a
+// recorded trace, fully described by plain data. Replay is
+// deterministic — (recording, configuration, interval) fixes every
 // statistic — so a task is relocatable: any node produces the same
 // bytes, a failed node's task re-runs elsewhere without changing the
-// result, and the per-interval statistics merge with the same
-// stats.Sim Merge path sharded local runs use (order-independent,
+// result, and fanOut merges the per-interval statistics in plan order
+// wherever they ran (stats.Sim Merge is order-independent anyway,
 // pinned by stats' TestMergeOrderIndependent). Recording itself stays
 // local: it needs functional emulation of the built program, and it
 // happens once per benchmark.
@@ -43,14 +41,16 @@ type ShardTask struct {
 	Measure    uint64        `json:"measure"` // measured commits
 }
 
-// RemoteShards places replay intervals on cluster nodes. tr is the live
-// recording task addresses; implementations publish it by content
-// address for workers to pull and keep it for local fallback, so a
+// RemoteShards executes replay intervals: the cluster places them on
+// its nodes, localShards runs them on the worker pool. tr is the live
+// recording the task addresses; a cluster publishes it by content
+// address for workers to pull and keeps it for local fallback, so a
 // RunShard only fails on context cancellation or a genuine simulation
-// error — never because no worker was available. Implementations must
-// be safe for concurrent use and must preserve byte-identity: the
-// statistics returned for a task are exactly what ExecuteShardTask
-// produces locally (the determinism guarantee failover relies on).
+// error — never because no worker was available. ctx carries the
+// task's "shard" span (obs.FromContext). Implementations must be safe
+// for concurrent use and must preserve byte-identity: the statistics
+// returned for a task are exactly what ExecuteShardTask produces
+// locally (the determinism guarantee failover relies on).
 type RemoteShards interface {
 	RunShard(ctx context.Context, task ShardTask, tr *trace.Trace) (*stats.Sim, error)
 }
@@ -67,68 +67,10 @@ func ExecuteShardTask(ctx context.Context, task ShardTask, tr *trace.Trace) (*st
 	if err := task.Cfg.Validate(); err != nil {
 		return nil, err
 	}
-	sp := shardSpec{
-		replayFrom: task.ReplayFrom,
-		bhr:        task.BHR,
-		seedBHR:    task.SeedBHR,
-		warmup:     task.Warmup,
-		measure:    task.Measure,
-	}
-	return runShard(ctx, task.Cfg, tr, sp, nil)
+	return runShard(ctx, task.Cfg, tr, task.spec(), nil)
 }
 
-// remoteReplay dispatches one replay — a single whole-run task at
-// Shards <= 1, the checkpoint-fast-forwarded plan otherwise — to the
-// cluster executor and merges the interval statistics in plan order,
-// exactly as runShards does locally. The caller holds one local pool
-// slot; it is released across the fan-out (the work burns remote
-// cores, and the executor bounds its own local fallback) and
-// re-acquired before returning, mirroring shardedReplay. sc, when
-// active, receives a "shard-fanout" span with one "shard" child per
-// task; the executor sees each task's span through the dispatch
-// context and grafts the remote half (worker, RTT, pull) under it.
-func (r *Runner) remoteReplay(cfg config.Config, bench string, tr *trace.Trace, sc obs.SpanContext) (*stats.Sim, error) {
-	plan := shardPlan(tr, uint64(r.opts.Scale), r.opts.Shards, uint64(r.opts.ShardWarmup))
-	results := make([]*stats.Sim, len(plan))
-	errs := make([]error, len(plan))
-	var wg sync.WaitGroup
-	var finished atomic.Int32
-	fan := sc.Start("shard-fanout")
-	<-r.sem
-	for i, sp := range plan {
-		wg.Add(1)
-		go func(i int, sp shardSpec) {
-			defer wg.Done()
-			task := ShardTask{
-				Cfg: cfg, Bench: bench,
-				ReplayFrom: sp.replayFrom, BHR: sp.bhr, SeedBHR: sp.seedBHR,
-				Warmup: sp.warmup, Measure: sp.measure,
-			}
-			tsc := fan.Start("shard")
-			results[i], errs[i] = r.opts.Remote.RunShard(obs.ContextWith(r.ctx, tsc), task, tr)
-			tsc.End()
-			if errs[i] == nil && r.opts.Progress != nil {
-				r.emit(ProgressEvent{Kind: ShardDone, Cfg: cfg.Name, Bench: bench,
-					Shard: int(finished.Add(1)), Shards: len(plan)})
-			}
-		}(i, sp)
-	}
-	wg.Wait()
-	r.sem <- struct{}{}
-	fan.End()
-	for _, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("experiments: %s/%s: %w", cfg.Name, bench, err)
-		}
-	}
-	if len(results) == 0 {
-		return stats.New(), nil
-	}
-	merge := sc.Start("merge")
-	merged := results[0]
-	for _, st := range results[1:] {
-		merged.Merge(st)
-	}
-	merge.End()
-	return merged, nil
+// spec is the replay interval the task describes.
+func (t ShardTask) spec() shardSpec {
+	return shardSpec{replayFrom: t.ReplayFrom, bhr: t.BHR, seedBHR: t.SeedBHR, warmup: t.Warmup, measure: t.Measure}
 }

@@ -84,18 +84,28 @@ func TestRemoteReplayByteIdentical(t *testing.T) {
 
 // TestRemoteTaskCounts pins the dispatch arithmetic: a sharded sweep
 // sends one task per shard interval, a whole-run sweep one task per
-// (config, benchmark) replay.
+// (config, benchmark) replay — the recording leader's run included.
 func TestRemoteTaskCounts(t *testing.T) {
 	cfg := config.MustNamed(4, 1, config.ModeV)
-	exec := &wireExecutor{}
-	r := NewRunner(Options{Scale: 12_000, Seed: 1, Workers: 2, Shards: 3, Remote: exec})
-	sims, err := r.RunAll(suiteSpecs(cfg))
-	if err != nil {
-		t.Fatal(err)
-	}
-	benches := int64(len(sims))
-	if got := exec.tasks.Load(); got != 3*benches {
-		t.Errorf("sharded sweep dispatched %d tasks, want %d (3 shards × %d benchmarks)", got, 3*benches, benches)
+	for _, tc := range []struct {
+		name          string
+		shards, tasks int64
+	}{
+		{"sharded", 3, 3},
+		{"whole runs", 0, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			exec := &wireExecutor{}
+			r := NewRunner(Options{Scale: 12_000, Seed: 1, Workers: 2, Shards: int(tc.shards), Remote: exec})
+			sims, err := r.RunAll(suiteSpecs(cfg))
+			if err != nil {
+				t.Fatal(err)
+			}
+			benches := int64(len(sims))
+			if got, want := exec.tasks.Load(), tc.tasks*benches; got != want {
+				t.Errorf("dispatched %d tasks, want %d (%d per run × %d benchmarks)", got, want, tc.tasks, benches)
+			}
+		})
 	}
 }
 

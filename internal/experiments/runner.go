@@ -35,23 +35,15 @@ type Options struct {
 	//
 	//sdv:shape
 	Workers int
-	// NoSharedTraces disables the per-benchmark trace/program memo: every
-	// run builds its own program and emulates functionally, as if it were
-	// the only one. Results are byte-identical either way; the flag exists
-	// for benchmarking the sharing itself and as an escape hatch.
-	//
-	//sdv:shape
-	NoSharedTraces bool
-	// Shards splits every (configuration, benchmark) simulation into this
+	// Shards splits every (configuration, benchmark) replay into this
 	// many measured intervals, each fast-forwarded to a trace checkpoint
-	// and dispatched to the worker pool, with per-interval statistics
-	// merged in a fixed order. <= 1 is exact mode: the single-pass
-	// behaviour, byte-identical to a Runner without sharding. Sharded
-	// (K > 1) figures agree with exact ones within the warmup tolerance
-	// (see ShardWarmup); a single large benchmark stops being a
-	// sequential wall because its intervals run concurrently.
-	// NoSharedTraces disables sharding too: without a shared recording
-	// there are no checkpoints to fast-forward to.
+	// and handed to the shard executor (Remote, or the worker pool), with
+	// per-interval statistics merged in a fixed order. <= 1 is exact
+	// mode: the single-pass behaviour, byte-identical to a Runner without
+	// sharding. Sharded (K > 1) figures agree with exact ones within the
+	// warmup tolerance (see ShardWarmup); a single large benchmark stops
+	// being a sequential wall because its intervals run concurrently. A
+	// configuration the recording cannot feed emulates live, unsharded.
 	Shards int
 	// CheckpointEvery is the interval, in committed instructions, between
 	// architectural checkpoints embedded in recorded traces. <= 0
@@ -92,8 +84,10 @@ type Options struct {
 	// other's generated workloads. Nil means workload.Get: built-ins plus
 	// whatever the process registered at startup (CLI -spec flags).
 	Workloads func(name string) (workload.Benchmark, error)
-	// Remote, when non-nil, dispatches trace-replay simulations — whole
-	// runs and shards alike — to cluster workers (see RemoteShards).
+	// Remote, when non-nil, executes every trace replay — whole runs and
+	// shards alike, the recording leader's own run included — through
+	// this executor (see RemoteShards) instead of the worker pool. Nil
+	// means the local pool, sharded runs through the same fan-out.
 	// Recording and live-emulation fallbacks stay local. Execution shape
 	// only: replay is deterministic, so results are byte-identical with
 	// and without it, at any worker count, and across worker failures
@@ -190,7 +184,7 @@ type call struct {
 // traceCall is one memoised (benchmark, scale, seed) recording: the built
 // program and the recorded dynamic instruction stream, shared by every
 // configuration that simulates the benchmark. The first requester records
-// (while its own timing simulation runs); every later requester replays.
+// it with a functional pass; then it and every later requester replay.
 // The resolved fields encode three outcomes:
 //
 //   - prog != nil, tr != nil: recording usable, followers replay.
@@ -221,6 +215,7 @@ type Runner struct {
 	opts Options
 	ctx  context.Context // Options.Context or Background; never nil
 	sem  chan struct{}   // bounds concurrently executing simulations
+	exec RemoteShards    // Options.Remote, or localShards over sem
 
 	mu     sync.Mutex
 	cache  map[runKey]*call
@@ -245,13 +240,18 @@ func NewRunner(opts Options) *Runner {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	return &Runner{
+	r := &Runner{
 		opts:   opts,
 		ctx:    ctx,
 		sem:    make(chan struct{}, opts.Workers),
+		exec:   opts.Remote,
 		cache:  map[runKey]*call{},
 		traces: map[string]*traceCall{},
 	}
+	if r.exec == nil {
+		r.exec = localShards{sem: r.sem, hot: r.collectHot}
+	}
+	return r
 }
 
 // emit delivers a progress event to Options.Progress, if any.
@@ -498,46 +498,39 @@ func (r *Runner) buildProgram(bench string) (*isa.Program, error) {
 	return b.Build(r.opts.Scale, r.opts.Seed), nil
 }
 
-// simulate is one uncached simulation. The first simulation of a
-// benchmark builds the program and records the dynamic instruction stream
-// while its own timing run executes; every other configuration of the
-// same benchmark replays the recording instead of re-running functional
-// emulation.
+// resolveTrace returns bench's shared trace entry. Its first requester
+// resolves it — from Options.Traces, else with a functional recording
+// pass — under sc. The error is non-nil only when the benchmark cannot
+// be simulated at all (cancellation, or program construction failed); a
+// failed recording propagates through tc.err — wrapping
+// ErrRecordingUnusable, never a silent nil — and callers fall back to
+// live emulation of tc.prog.
+func (r *Runner) resolveTrace(bench string, sc obs.SpanContext) (*traceCall, error) {
+	tc, leader, err := r.sharedTrace(bench)
+	if err != nil {
+		return nil, err
+	}
+	if leader && !r.loadShared(bench, tc, sc) {
+		r.recordShared(bench, tc, sc)
+	}
+	if tc.prog == nil {
+		return tc, tc.err
+	}
+	return tc, nil
+}
+
+// simulate is one uncached simulation. It resolves the benchmark's
+// shared recording (the first simulation of a benchmark records it) and
+// replays it under cfg: unsharded on the caller's pool slot, otherwise
+// through the shard executor.
 func (r *Runner) simulate(cfg config.Config, bench string) (*stats.Sim, error) {
 	r.sims.Add(1)
 	r.emit(ProgressEvent{Kind: RunStarted, Cfg: cfg.Name, Bench: bench, Target: uint64(r.opts.Scale)})
 	run := obs.FromContext(r.ctx).StartRun("run", cfg.Name, bench)
 	defer run.End()
-	if r.opts.NoSharedTraces {
-		prog, err := r.buildProgram(bench)
-		if err != nil {
-			return nil, err
-		}
-		return r.timedRun(run, "emulate", cfg, bench, func() (*pipeline.Simulator, error) {
-			return pipeline.New(cfg, prog)
-		})
-	}
-
-	tc, leader, err := r.sharedTrace(bench)
+	tc, err := r.resolveTrace(bench, run)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: %s/%s: %w", cfg.Name, bench, err)
-	}
-	if leader {
-		switch {
-		case r.loadShared(bench, tc, run):
-			// Served by the store; replay below like any follower.
-		case r.opts.Shards > 1:
-			// Sharded mode records with a pure functional pass (embedding
-			// checkpoints) so the leader's own timing run can be sharded
-			// exactly like every follower's; it then falls through to the
-			// common post-publish paths below.
-			r.recordShared(bench, tc, run)
-		default:
-			return r.recordRun(cfg, bench, tc, run)
-		}
-	}
-	if tc.prog == nil {
-		return nil, fmt.Errorf("experiments: %s/%s: %w", cfg.Name, bench, tc.err)
 	}
 	if !r.usable(tc.tr, cfg) {
 		// Failed recording (tc.err says why — see ErrRecordingUnusable) or
@@ -548,11 +541,8 @@ func (r *Runner) simulate(cfg config.Config, bench string) (*stats.Sim, error) {
 		})
 	}
 	r.replayed.Add(1)
-	if r.opts.Remote != nil {
-		return r.remoteReplay(cfg, bench, tc.tr, run)
-	}
-	if r.opts.Shards > 1 {
-		return r.shardedReplay(cfg, bench, tc.tr, run)
+	if r.opts.Remote != nil || r.opts.Shards > 1 {
+		return r.dispatch(cfg, bench, tc.tr, run)
 	}
 	return r.timedRun(run, "replay", cfg, bench, func() (*pipeline.Simulator, error) {
 		return pipeline.NewFromSource(cfg, trace.NewReplayer(tc.tr, pipeline.SourceWindow(cfg)))
@@ -560,13 +550,11 @@ func (r *Runner) simulate(cfg config.Config, bench string) (*stats.Sim, error) {
 }
 
 // startRecording builds bench's program and a Recorder over a fresh
-// emulator of it: the recorder serves its consumer through a replay
-// window of the given size (0: the recorder's default), embeds
-// checkpoints at the runner's spacing and is reserved for the record
-// target. On failure tc is
+// emulator of it: the recorder embeds checkpoints at the runner's
+// spacing and is reserved for the record target. On failure tc is
 // already resolved — a program error is fatal for the benchmark, a
 // recorder error loses only the recording — and the error is returned.
-func (r *Runner) startRecording(bench string, tc *traceCall, window int) (*isa.Program, *trace.Recorder, error) {
+func (r *Runner) startRecording(bench string, tc *traceCall) (*isa.Program, *trace.Recorder, error) {
 	prog, err := r.buildProgram(bench)
 	if err != nil {
 		r.publishTrace(tc, bench, nil, nil, err)
@@ -577,7 +565,7 @@ func (r *Runner) startRecording(bench string, tc *traceCall, window int) (*isa.P
 		r.publishTrace(tc, bench, nil, nil, err)
 		return nil, nil, err
 	}
-	rec, err := trace.NewRecorder(mach, prog, window)
+	rec, err := trace.NewRecorder(mach, prog, 0)
 	if err == nil && r.opts.CheckpointEvery > 0 {
 		err = rec.EnableCheckpoints(r.opts.CheckpointEvery)
 	}
@@ -612,45 +600,13 @@ func (r *Runner) finishRecording(bench string, tc *traceCall, prog *isa.Program,
 
 // recordShared resolves a leader's trace entry with a pure functional
 // recording pass (no timing simulation). The entry is always resolved.
-// Sharded sweeps and stream-only experiments (VecLen) record this way.
 // sc, when active, receives a "record" span covering the pass.
 func (r *Runner) recordShared(bench string, tc *traceCall, sc obs.SpanContext) {
 	rsc := sc.StartRun("record", "", bench)
 	defer rsc.End()
-	if prog, rec, err := r.startRecording(bench, tc, 0); err == nil {
+	if prog, rec, err := r.startRecording(bench, tc); err == nil {
 		r.finishRecording(bench, tc, prog, rec)
 	}
-}
-
-// recordRun is the leader's simulation: it records the dynamic stream
-// while the timing run executes, completes the trace afterwards and
-// publishes it for the followers. The trace entry is always resolved,
-// even when program construction or the simulation itself fails. sc,
-// when active, receives a "record" span covering the whole
-// record-while-timing pass (the timing run is inseparable from the
-// recording here, so no nested phase span is opened).
-func (r *Runner) recordRun(cfg config.Config, bench string, tc *traceCall, sc obs.SpanContext) (*stats.Sim, error) {
-	rsc := sc.StartRun("record", cfg.Name, bench)
-	defer rsc.End()
-	prog, rec, err := r.startRecording(bench, tc, pipeline.SourceWindow(cfg))
-	if err != nil {
-		return nil, err
-	}
-	st, simErr := r.timedRun(obs.SpanContext{}, "", cfg, bench, func() (*pipeline.Simulator, error) {
-		return pipeline.NewFromSource(cfg, rec)
-	})
-	if cancelled(simErr) {
-		// Don't extend a recording nobody will use: evict the entry (so a
-		// later requester records afresh) and publish the cancellation.
-		r.dropTrace(bench, tc)
-		r.publishTrace(tc, bench, prog, nil, fmt.Errorf("%w: %v", ErrRecordingUnusable, simErr))
-		return st, simErr
-	}
-	// Finish extends the recording to its target length even when the
-	// timing run stopped early (commit limit) or failed (an invalid
-	// configuration must not poison the benchmark for other configs).
-	r.finishRecording(bench, tc, prog, rec)
-	return st, simErr
 }
 
 // progressStride is the committed-instruction spacing of RunProgress

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"specvec/internal/config"
+	"specvec/internal/pipeline"
 	"specvec/internal/stats"
 	"specvec/internal/workload"
 )
@@ -211,48 +212,62 @@ func TestAppendAggregatesSkipsEmpty(t *testing.T) {
 	}
 }
 
-// TestSharedTraceIdentical runs the same multi-config sweep with trace
-// sharing on and off and requires identical rendered statistics — the
-// record-once/replay-many layer must be invisible in the results — while
-// the counters prove it actually recorded once per benchmark and
-// replayed everything else.
+// liveRun is the reference the recording paths are held to: the
+// benchmark built at opts' scale and seed and simulated under cfg by
+// live functional emulation, with no recording anywhere.
+func liveRun(t *testing.T, opts Options, cfg config.Config, bench string) *stats.Sim {
+	t.Helper()
+	b, err := workload.Get(bench)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim, err := pipeline.New(cfg, b.Build(opts.Scale, opts.Seed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := sim.Run(uint64(opts.Scale))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st
+}
+
+// TestSharedTraceIdentical runs a multi-config sweep on one Runner and
+// requires every result to match live emulation of the same run — the
+// record-once/replay-many layer must be invisible in the results —
+// while the counters prove it recorded once per benchmark and replayed
+// every simulation, the recording leader's included.
 func TestSharedTraceIdentical(t *testing.T) {
 	cfgs := []config.Config{
 		config.MustNamed(4, 1, config.ModeNoIM),
 		config.MustNamed(4, 1, config.ModeIM),
 		config.MustNamed(4, 1, config.ModeV),
 	}
-	render := func(opts Options) (string, *Runner) {
-		r := NewRunner(opts)
-		var sb strings.Builder
-		for _, cfg := range cfgs {
-			sims, err := r.RunAll(suiteSpecs(cfg))
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, st := range sims {
-				sb.WriteString(st.String())
+	opts := Options{Scale: 15_000, Seed: 1, Workers: 4}
+	r := NewRunner(opts)
+	for _, cfg := range cfgs {
+		specs := suiteSpecs(cfg)
+		sims, err := r.RunAll(specs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, st := range sims {
+			if st.String() != liveRun(t, opts, cfg, specs[i].Bench).String() {
+				t.Errorf("%s/%s: trace sharing changed simulation statistics", cfg.Name, specs[i].Bench)
 			}
 		}
-		return sb.String(), r
-	}
-
-	shared, rs := render(Options{Scale: 15_000, Seed: 1, Workers: 4})
-	unshared, ru := render(Options{Scale: 15_000, Seed: 1, Workers: 4, NoSharedTraces: true})
-	if shared != unshared {
-		t.Error("trace sharing changed simulation statistics")
 	}
 
 	nbench := int64(len(workload.Names()))
-	if got := rs.TraceRecordings(); got != nbench {
-		t.Errorf("shared runner recorded %d traces, want %d", got, nbench)
+	if got := r.TraceRecordings(); got != nbench {
+		t.Errorf("recorded %d traces, want %d", got, nbench)
 	}
-	// 3 configs per benchmark: the first records, the other two replay.
-	if got, want := rs.TraceReplays(), 2*nbench; got != want {
-		t.Errorf("shared runner replayed %d runs, want %d", got, want)
+	// 3 configs per benchmark, every one of them replayed.
+	if got, want := r.TraceReplays(), 3*nbench; got != want {
+		t.Errorf("replayed %d runs, want %d", got, want)
 	}
-	if got := ru.TraceRecordings(); got != 0 {
-		t.Errorf("unshared runner recorded %d traces, want 0", got)
+	if got, want := r.Simulations(), 3*nbench; got != want {
+		t.Errorf("executed %d simulations, want %d", got, want)
 	}
 }
 

@@ -346,15 +346,18 @@ func TestTraceStoreRejectsShort(t *testing.T) {
 	}
 }
 
-// TestRunnerHotStats checks hot-path counters aggregate across runs.
+// TestRunnerHotStats checks hot-path counters aggregate across runs,
+// sharded ones included: local shard simulators fold into the runner.
 func TestRunnerHotStats(t *testing.T) {
-	r := NewRunner(Options{Scale: 5_000, Seed: 1, Workers: 1})
-	cfg := config.MustNamed(4, 1, config.ModeV)
-	if _, err := r.Run(cfg, "compress"); err != nil {
-		t.Fatal(err)
-	}
-	h := r.HotStats()
-	if h.UopRecycles == 0 {
-		t.Error("no uop recycles aggregated after a run")
+	for _, shards := range []int{0, 2} {
+		r := NewRunner(Options{Scale: 5_000, Seed: 1, Workers: 1, Shards: shards})
+		cfg := config.MustNamed(4, 1, config.ModeV)
+		if _, err := r.Run(cfg, "compress"); err != nil {
+			t.Fatal(err)
+		}
+		h := r.HotStats()
+		if h.UopRecycles == 0 {
+			t.Errorf("shards=%d: no uop recycles aggregated after a run", shards)
+		}
 	}
 }

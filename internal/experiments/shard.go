@@ -102,46 +102,66 @@ func runShard(ctx context.Context, cfg config.Config, tr *trace.Trace, sp shardS
 	return st, err
 }
 
-// runShards executes a plan concurrently — one worker-pool slot per
-// in-flight shard — and merges the interval statistics in shard order.
-// onDone (optional) observes each finished interval with the count of
-// completed intervals so far; it may be called concurrently.
-func runShards(ctx context.Context, cfg config.Config, tr *trace.Trace, plan []shardSpec,
-	sem chan struct{}, hot func(profile.HotStats), onDone func(done, total int)) (*stats.Sim, error) {
+// localShards is the in-process shard executor: each task takes one slot
+// of sem for its whole replay, so tasks share the bound of whatever pool
+// sem belongs to. hot, when non-nil, receives every task simulator's
+// hot-path counters.
+type localShards struct {
+	sem chan struct{}
+	hot func(profile.HotStats)
+}
+
+func (l localShards) RunShard(ctx context.Context, task ShardTask, tr *trace.Trace) (*stats.Sim, error) {
+	select {
+	case l.sem <- struct{}{}:
+	case <-ctx.Done():
+		return nil, ctx.Err()
+	}
+	defer func() { <-l.sem }()
+	return runShard(ctx, task.Cfg, tr, task.spec(), l.hot)
+}
+
+// fanOut runs every interval of plan on exec concurrently and merges the
+// interval statistics in plan order, so results never depend on
+// scheduling or placement. onDone (optional) observes each finished
+// interval with the count of completed intervals so far; it may be
+// called concurrently. sc, when active, receives a "shard-fanout" span
+// with one "shard" child per task, then a "merge" span; an executor sees
+// its task's span through ctx (the cluster grafts the remote half —
+// worker, RTT, pull — under it).
+func fanOut(ctx context.Context, exec RemoteShards, cfg config.Config, bench string, tr *trace.Trace,
+	plan []shardSpec, sc obs.SpanContext, onDone func(done, total int)) (*stats.Sim, error) {
 	results := make([]*stats.Sim, len(plan))
 	errs := make([]error, len(plan))
 	var wg sync.WaitGroup
 	var finished atomic.Int32
+	fan := sc.Start("shard-fanout")
 	for i, sp := range plan {
 		wg.Add(1)
 		go func(i int, sp shardSpec) {
 			defer wg.Done()
-			if ctx != nil {
-				select {
-				case sem <- struct{}{}:
-				case <-ctx.Done():
-					errs[i] = ctx.Err()
-					return
-				}
-			} else {
-				sem <- struct{}{}
+			task := ShardTask{
+				Cfg: cfg, Bench: bench,
+				ReplayFrom: sp.replayFrom, BHR: sp.bhr, SeedBHR: sp.seedBHR,
+				Warmup: sp.warmup, Measure: sp.measure,
 			}
-			defer func() { <-sem }()
-			results[i], errs[i] = runShard(ctx, cfg, tr, sp, hot)
+			tsc := fan.Start("shard")
+			results[i], errs[i] = exec.RunShard(obs.ContextWith(ctx, tsc), task, tr)
+			tsc.End()
 			if errs[i] == nil && onDone != nil {
 				onDone(int(finished.Add(1)), len(plan))
 			}
 		}(i, sp)
 	}
 	wg.Wait()
+	fan.End()
 	for _, err := range errs {
 		if err != nil {
 			return nil, err
 		}
 	}
-	if len(results) == 0 {
-		return stats.New(), nil
-	}
+	merge := sc.Start("merge")
+	defer merge.End()
 	merged := results[0]
 	for _, st := range results[1:] {
 		merged.Merge(st)
@@ -149,28 +169,19 @@ func runShards(ctx context.Context, cfg config.Config, tr *trace.Trace, plan []s
 	return merged, nil
 }
 
-// shardedReplay runs one sharded simulation on the runner's worker pool.
-// The caller (Run) holds one pool slot; it is released while the shards
-// fan out — each shard acquires its own — and re-acquired before
-// returning so Run's release stays balanced and total concurrency never
-// exceeds Workers. sc, when active, receives a "shard-fanout" span
-// covering the whole fan-out (per-interval timing lives in the merged
-// statistics, not the timeline — local shards share one clock, so the
-// envelope is what a waterfall needs).
-func (r *Runner) shardedReplay(cfg config.Config, bench string, tr *trace.Trace, sc obs.SpanContext) (*stats.Sim, error) {
+// dispatch replays one simulation through the runner's shard executor: the
+// checkpoint-fast-forwarded plan at Shards > 1, one whole-run task
+// otherwise. The caller (Run) holds one pool slot; it is released across
+// the fan-out — local tasks take their own slots, remote ones burn
+// remote cores — and re-acquired before returning so Run's release
+// stays balanced and local concurrency never exceeds Workers.
+func (r *Runner) dispatch(cfg config.Config, bench string, tr *trace.Trace, sc obs.SpanContext) (*stats.Sim, error) {
 	plan := shardPlan(tr, uint64(r.opts.Scale), r.opts.Shards, uint64(r.opts.ShardWarmup))
-	var onDone func(done, total int)
-	if r.opts.Progress != nil {
-		onDone = func(done, total int) {
-			r.emit(ProgressEvent{Kind: ShardDone, Cfg: cfg.Name, Bench: bench,
-				Shard: done, Shards: total})
-		}
-	}
-	fan := sc.Start("shard-fanout")
 	<-r.sem
-	st, err := runShards(r.ctx, cfg, tr, plan, r.sem, r.collectHot, onDone)
+	st, err := fanOut(r.ctx, r.exec, cfg, bench, tr, plan, sc, func(done, total int) {
+		r.emit(ProgressEvent{Kind: ShardDone, Cfg: cfg.Name, Bench: bench, Shard: done, Shards: total})
+	})
 	r.sem <- struct{}{}
-	fan.End()
 	if err != nil {
 		return nil, fmt.Errorf("experiments: %s/%s: %w", cfg.Name, bench, err)
 	}
@@ -199,6 +210,6 @@ func ShardedReplay(cfg config.Config, tr *trace.Trace, total uint64, shards, war
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	return runShards(nil, cfg, tr, shardPlan(tr, total, shards, uint64(warmup)),
-		make(chan struct{}, workers), nil, nil)
+	return fanOut(context.TODO(), localShards{sem: make(chan struct{}, workers)}, cfg, "", tr,
+		shardPlan(tr, total, shards, uint64(warmup)), obs.SpanContext{}, nil)
 }

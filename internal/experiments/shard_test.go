@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"errors"
 	"math"
 	"reflect"
@@ -10,6 +11,7 @@ import (
 	"specvec/internal/config"
 	"specvec/internal/emu"
 	"specvec/internal/isa"
+	"specvec/internal/obs"
 	"specvec/internal/stats"
 	"specvec/internal/trace"
 	"specvec/internal/workload"
@@ -204,7 +206,7 @@ func TestPublishTraceNeverNilNil(t *testing.T) {
 // TestRecordingFailureFallsBack seeds a shared-trace entry in the failed
 // state (valid program, no trace, ErrRecordingUnusable) and checks that
 // timing runs and the stream pass (VecLen's eachRecord) both fall back
-// to live emulation with results identical to an unshared runner.
+// to live emulation with results identical to the live reference.
 func TestRecordingFailureFallsBack(t *testing.T) {
 	const bench = "compress"
 	opts := Options{Scale: 10_000, Seed: 1, Workers: 2}
@@ -225,13 +227,8 @@ func TestRecordingFailureFallsBack(t *testing.T) {
 	if err != nil {
 		t.Fatalf("failed recording was fatal for the benchmark: %v", err)
 	}
-	plain := NewRunner(Options{Scale: opts.Scale, Seed: opts.Seed, Workers: 1, NoSharedTraces: true})
-	want, err := plain.Run(cfg, bench)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.String() != want.String() {
-		t.Error("live-emulation fallback produced different statistics than an unshared run")
+	if st.String() != liveRun(t, opts, cfg, bench).String() {
+		t.Error("live-emulation fallback produced different statistics than the live reference")
 	}
 
 	// The stream pass must also fall back and still see every record.
@@ -241,5 +238,45 @@ func TestRecordingFailureFallsBack(t *testing.T) {
 	}
 	if n != 1000 {
 		t.Errorf("eachRecord yielded %d records, want 1000", n)
+	}
+}
+
+// TestShardedSpans pins the span shape of a local sharded run, the same
+// shape remote dispatch has: under the run span, the leader's "record",
+// then a "shard-fanout" holding one "shard" per interval, then "merge".
+func TestShardedSpans(t *testing.T) {
+	tr := obs.NewTrace("t", nil, "job")
+	ctx := obs.ContextWith(context.Background(), obs.SpanContext{T: tr, Span: obs.RootSpan})
+	r := NewRunner(Options{Scale: 12_000, Seed: 1, Workers: 2, Shards: 3, Context: ctx})
+	if _, err := r.Run(config.MustNamed(4, 1, config.ModeV), "compress"); err != nil {
+		t.Fatal(err)
+	}
+	tr.Finish()
+	spans := tr.Snapshot()
+	children := func(parent obs.SpanID) (ids []obs.SpanID, names []string) {
+		for i, sp := range spans {
+			if sp.Parent == parent {
+				ids = append(ids, obs.SpanID(i))
+				names = append(names, sp.Name)
+			}
+		}
+		return ids, names
+	}
+	runs, names := children(obs.RootSpan)
+	if len(runs) != 1 || names[0] != "run" {
+		t.Fatalf("root children = %v, want one run span", names)
+	}
+	kids, names := children(runs[0])
+	if got, want := strings.Join(names, ","), "record,shard-fanout,merge"; got != want {
+		t.Fatalf("run span children = %s, want %s", got, want)
+	}
+	shards, names := children(kids[1])
+	if len(shards) != 3 {
+		t.Errorf("shard-fanout has %d children %v, want 3 shard spans", len(shards), names)
+	}
+	for i, id := range shards {
+		if names[i] != "shard" || spans[id].End < 0 {
+			t.Errorf("fan-out child %d: %q, end %v; want a closed shard span", i, names[i], spans[id].End)
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"net"
 	"net/http"
 	"net/http/pprof"
 )
@@ -17,4 +18,14 @@ func PprofHandler() http.Handler {
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	return mux
+}
+
+// ServePprof serves PprofHandler on ln until ln is closed. Like the API
+// server it closes a connection that has not sent its request headers
+// within readHeaderTimeout, so a stalled client cannot pin a goroutine
+// and a descriptor; profile and trace downloads, which stream for their
+// requested duration, are not bounded.
+func ServePprof(ln net.Listener) error {
+	hs := &http.Server{Handler: PprofHandler(), ReadHeaderTimeout: readHeaderTimeout}
+	return hs.Serve(ln)
 }

@@ -461,10 +461,8 @@ func TestMetricsAndHealth(t *testing.T) {
 	}
 }
 
-// TestServeClosesStalledHeaders opens a connection to a served daemon
-// that sends a partial request and never finishes its headers: the
-// server must close it once readHeaderTimeout passes, rather than hold
-// it open indefinitely.
+// TestServeClosesStalledHeaders checks that a served daemon closes a
+// connection whose headers stall (see closesStalledHeaders).
 func TestServeClosesStalledHeaders(t *testing.T) {
 	t.Parallel()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -478,8 +476,32 @@ func TestServeClosesStalledHeaders(t *testing.T) {
 		cancel()
 		<-served
 	})
+	closesStalledHeaders(t, ln.Addr().String())
+}
 
-	conn, err := net.Dial("tcp", ln.Addr().String())
+// TestPprofClosesStalledHeaders is the same check for the opt-in
+// profiling listener.
+func TestPprofClosesStalledHeaders(t *testing.T) {
+	t.Parallel()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	served := make(chan error, 1)
+	go func() { served <- ServePprof(ln) }()
+	t.Cleanup(func() {
+		ln.Close()
+		<-served
+	})
+	closesStalledHeaders(t, ln.Addr().String())
+}
+
+// closesStalledHeaders opens a connection to addr that sends a partial
+// request and never finishes its headers: the server must close it once
+// readHeaderTimeout passes, rather than hold it open indefinitely.
+func closesStalledHeaders(t *testing.T, addr string) {
+	t.Helper()
+	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,11 +13,13 @@
 //
 // Three faces:
 //
-//   - Recorder wraps a live emu.Machine and captures records while the
-//     first simulation runs. It serves the pipeline exactly like
-//     emu.Stream (bounded window, rewind on squash), so the recording run
-//     is byte-identical to an unrecorded one. Finish then runs the
-//     machine to halt so the trace covers the complete dynamic stream.
+//   - Recorder wraps a live emu.Machine and captures records as they are
+//     emulated. It can serve the pipeline exactly like emu.Stream
+//     (bounded window, rewind on squash), so a recording run is
+//     byte-identical to an unrecorded one (sdvsim -trace-record); the
+//     experiment runner uses it without a pipeline, as a functional
+//     pass. Finish runs the machine on to its halt or the record target
+//     so the trace covers every record a replay can observe.
 //   - Replayer serves a recorded Trace with the same semantics, without a
 //     machine, a memory image, or per-instruction interpretation; its
 //     steady state allocates nothing.
